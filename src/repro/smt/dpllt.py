@@ -99,6 +99,10 @@ class SmtStats:
     ``explanations`` / ``explanation_literals`` measure the theory
     explanations produced (conflicts and lazy propagation reasons);
     ``as_dict`` derives the average explanation size from them.
+    ``theory_asserts`` counts the trail literals streamed into the
+    theories (:meth:`TheoryCore.on_assert` calls) — the work a check
+    spends re-asserting the trail, which trail-prefix reuse keeps small
+    across enumeration checks.
     ``theory_propagations`` counts literals the SAT core actually
     *enqueued*; the per-theory split (``theory_propagations_euf`` /
     ``theory_propagations_idl``) counts entailments the theories
@@ -115,6 +119,7 @@ class SmtStats:
     euf_atoms: int = 0
     sat_decisions: int = 0
     sat_conflicts: int = 0
+    theory_asserts: int = 0
     theory_propagations: int = 0
     theory_propagations_euf: int = 0
     theory_propagations_idl: int = 0
@@ -145,6 +150,7 @@ class SmtStats:
             "euf_atoms": self.euf_atoms,
             "sat_decisions": self.sat_decisions,
             "sat_conflicts": self.sat_conflicts,
+            "theory_asserts": self.theory_asserts,
             "theory_propagations": self.theory_propagations,
             "theory_propagations_euf": self.theory_propagations_euf,
             "theory_propagations_idl": self.theory_propagations_idl,
@@ -343,6 +349,7 @@ class TheoryCore(TheoryListener):
             IncrementalDifferenceLogic(propagate=idl_propagation)
         )
         self._arith_is_lia = False
+        self._deadline: Optional[float] = None
         # After migrating to LIA, the retired IDL solver is kept (frozen)
         # so the lazy explanations of its still-live propagations resolve.
         self._idl_frozen: Optional[IncrementalDifferenceLogic] = None
@@ -364,6 +371,8 @@ class TheoryCore(TheoryListener):
         self._prop_basis: Dict[int, int] = {}
         self._arith_model: Dict[str, int] = {}
         self._euf_model: Dict[str, int] = {}
+        #: Trail literals streamed in through :meth:`on_assert`.
+        self.asserts = 0
         #: Explanation accounting (conflicts + lazy propagation reasons).
         self.explanations = 0
         self.explanation_literals = 0
@@ -397,6 +406,16 @@ class TheoryCore(TheoryListener):
         self._idl_propagation = enabled
         if isinstance(self._arith, IncrementalDifferenceLogic):
             self._arith.set_propagation(enabled)
+
+    def set_deadline(self, deadline: Optional[float]) -> None:
+        """Bound the LIA lane's Fourier–Motzkin work by a monotonic instant.
+
+        Past it the lane raises :class:`~repro.smt.sat.TheoryTimeout`; the
+        IDL and EUF lanes are bounded by the SAT core's own polling.
+        """
+        self._deadline = deadline
+        if self._arith_is_lia:
+            self._arith.deadline = deadline
 
     def _register_idl_atom(self, var: int) -> None:
         """Register ``var`` for IDL bound propagation when both phases fit.
@@ -447,6 +466,7 @@ class TheoryCore(TheoryListener):
     def _migrate_to_lia(self) -> None:
         """Replay the IDL trail into a LIA solver (first non-difference atom)."""
         lia = IncrementalLinearInt()
+        lia.deadline = self._deadline
         for lit, constraints in self._arith.assertions:
             conflict = lia.assert_lit(lit, constraints)
             if conflict is not None:  # pragma: no cover - IDL-feasible prefix
@@ -465,6 +485,7 @@ class TheoryCore(TheoryListener):
     # -- TheoryListener ---------------------------------------------------------
 
     def on_assert(self, lit: int) -> Optional[Sequence[int]]:
+        self.asserts += 1
         var = abs(lit)
         self._frames.append((self._arith.num_asserted, self._euf.num_asserted))
         conflict: Optional[List[int]] = None
@@ -630,6 +651,7 @@ class DpllTEngine:
         sat = self._make_sat_solver()
         sat.ensure_vars(cnf.num_vars)
         core = TheoryCore(idl_propagation=self._idl_propagation)
+        core.set_deadline(self._deadline)
         sat.set_theory(core)
         for atom, var in cnf.atom_to_var.items():
             core.register_atom(atom, var)
@@ -669,6 +691,7 @@ class DpllTEngine:
             self.stats.sat_decisions = sat.stats.decisions
             self.stats.sat_conflicts = sat.stats.conflicts
             self.stats.theory_conflicts = sat.stats.theory_conflicts
+            self.stats.theory_asserts = core.asserts
             self.stats.theory_propagations = sat.stats.theory_propagations
             self.stats.theory_propagations_euf = core.euf_propagations
             self.stats.theory_propagations_idl = core.idl_propagations
@@ -771,7 +794,8 @@ class IncrementalDpllTEngine:
     tradition: an assertion added after a :meth:`push` is encoded as
     ``selector -> assertion`` and every :meth:`check` assumes the selectors
     of the open scopes; :meth:`pop` retires a selector by asserting its
-    negation, permanently satisfying the scope's clauses.  Per-call
+    negation, which permanently satisfies the scope's clauses, and then
+    deletes them.  Per-call
     assumptions are Tseitin-encoded to literals and assumed the same way.
     This is what makes blocking-clause enumeration and reachability probes
     cheap: the clause database is never rebuilt, only extended.
@@ -843,6 +867,10 @@ class IncrementalDpllTEngine:
         selector = self._selectors.pop()
         self._sat.ensure_vars(self._converter.result.num_vars)
         self._sat.add_clause([-selector])
+        # The retired scope's clauses (and every lemma that mentions the
+        # selector) are now satisfied at level 0: drop them, so a
+        # long-lived engine's clause database does not grow per scope.
+        self._sat.remove_satisfied()
         self._invalidate()
 
     @property
@@ -895,12 +923,14 @@ class IncrementalDpllTEngine:
         base_theory_conflicts = sat.stats.theory_conflicts
         base_theory_propagations = sat.stats.theory_propagations
         base_partial = sat.stats.theory_partial_conflicts
+        base_asserts = core.asserts
         base_explanations = core.explanations
         base_explanation_lits = core.explanation_literals
         base_euf_props = core.euf_propagations
         base_idl_props = core.idl_propagations
         base_reduce_rounds = sat.stats.reduce_db_rounds
         base_deleted = sat.stats.clauses_deleted
+        core.set_deadline(self._deadline)
         try:
             if self._max_iterations is not None and self._max_iterations < 1:
                 return self._finish(CheckResult.UNKNOWN)
@@ -935,6 +965,7 @@ class IncrementalDpllTEngine:
                 sat.stats.theory_partial_conflicts - base_partial
             )
             stats.iterations = 1 + stats.theory_conflicts
+            stats.theory_asserts = core.asserts - base_asserts
             stats.explanations = core.explanations - base_explanations
             stats.explanation_literals = (
                 core.explanation_literals - base_explanation_lits
@@ -1051,14 +1082,26 @@ class IncrementalDpllTEngine:
         self._last_result = None
 
     def _encode_guarded(self, term: Term, selector: int) -> None:
-        """Encode ``selector -> term``, splitting top-level conjunctions."""
+        """Encode ``selector -> term``, splitting top-level conjunctions.
+
+        A disjunction (or a negated conjunction, the shape of a blocking
+        clause) becomes one clause over its children's literals, so it
+        costs no definition variable and no gate clauses.
+        """
         if term.is_true:
             return
         if term.kind == "and":
             for child in term.args:
                 self._encode_guarded(child, selector)
             return
-        self._converter.add_raw_clause([-selector, self._converter.literal(term)])
+        literal = self._converter.literal
+        if term.kind == "or":
+            lits = [literal(child) for child in term.args]
+        elif term.kind == "not" and term.args[0].kind == "and":
+            lits = [-literal(child) for child in term.args[0].args]
+        else:
+            lits = [literal(term)]
+        self._converter.add_raw_clause([-selector] + lits)
 
     def _flush(self) -> None:
         """Feed clauses and atoms created since the last flush to the SAT core."""

@@ -6,8 +6,10 @@ This is a conflict-driven clause-learning solver in the MiniSat lineage:
 * first-UIP conflict analysis with clause learning,
 * VSIDS-style activity decision heuristic with phase saving,
 * Luby-sequence restarts,
-* incremental solving under assumptions (used by DPLL(T) and by the
-  verification layer to enumerate multiple witnesses),
+* incremental solving under assumptions that keeps the trail between
+  calls (used by DPLL(T) and by the verification layer to enumerate
+  multiple witnesses: a blocking clause backjumps only to its assertion
+  level, and the next call keeps every level its assumptions still own),
 * learned-clause database reduction with arena compaction (see below),
 * theory-aware branching, and an online :class:`TheoryListener` hook:
   every trail literal is streamed to an attached theory, which may veto
@@ -89,6 +91,7 @@ __all__ = [
     "SatSolver",
     "SatStats",
     "TheoryListener",
+    "TheoryTimeout",
     "DEFAULT_REDUCE_BASE",
     "DEFAULT_REDUCE_GROWTH",
     "DEFAULT_CLAUSE_DECAY",
@@ -162,6 +165,15 @@ class SatStats:
             "arena_bytes": self.arena_bytes,
             "kernel_faults": self.kernel_faults,
         }
+
+
+class TheoryTimeout(Exception):
+    """Raised by a theory whose own work ran past the solve deadline.
+
+    :meth:`SatSolver.solve` catches it from any listener callback, unwinds
+    the trail (and with it the theory) to level 0, and answers
+    :data:`SatResult.UNKNOWN`, exactly as when it sees the deadline itself.
+    """
 
 
 class TheoryListener:
@@ -302,6 +314,9 @@ class SatSolver:
         self._reason = array("i", [0])
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
+        # The assumption each bottom decision level was opened for: level
+        # i+1 belongs to _assumed[i]; levels above len(_assumed) are search.
+        self._assumed: List[int] = []
         self._queue_head = 0
         # Decision heuristic.
         self._activity: List[float] = [0.0]
@@ -539,12 +554,19 @@ class SatSolver:
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns ``False`` if the formula became trivially unsat.
 
-        Clauses may be added at any time; clauses added between ``solve``
-        calls are handled incrementally (the solver backtracks to level 0).
+        Clauses may be added at any time, including between ``solve`` calls
+        while the trail of the last answer is still in place.  The trail is
+        kept: the clause watches its two best literals (true or unassigned
+        first, then false ones by highest level), and only a clause that is
+        falsified or unit under the trail backjumps, to its *assertion
+        level* (the second-highest literal level), where the implied
+        literal is enqueued with the clause as its reason.  A falsified
+        clause whose top level holds two or more literals backjumps to the
+        level below instead, leaving it with two unassigned watches.  A
+        unit clause always goes to level 0.
         """
         if not self._ok:
             return False
-        self._backtrack(0)
         unique: List[int] = []
         seen = set()
         for lit in lits:
@@ -575,6 +597,7 @@ class SatSolver:
             self._ok = False
             return False
         if len(filtered) == 1:
+            self._backtrack(0)
             if not self._enqueue(filtered[0], 0):
                 self._ok = False
                 return False
@@ -583,9 +606,25 @@ class SatSolver:
                 return False
             return True
 
+        if self._trail_lim:
+            # Non-false literals first, then false ones by descending level.
+            filtered.sort(
+                key=lambda lit: -level[abs(lit)]
+                if (assign[lit] if lit > 0 else -assign[-lit]) < 0
+                else -(1 << 30)
+            )
         ref = self._alloc(filtered)
         self._attach(ref)
         self._clause_refs.append(ref)
+        if self._trail_lim:
+            l0, l1 = filtered[0], filtered[1]
+            if (assign[l1] if l1 > 0 else -assign[-l1]) < 0:
+                v0 = assign[l0] if l0 > 0 else -assign[-l0]
+                if v0 < 0 and level[abs(l0)] == level[abs(l1)]:
+                    self._backtrack(level[abs(l0)] - 1)
+                elif v0 <= 0:
+                    self._backtrack(level[abs(l1)])
+                    self._enqueue(l0, ref)
         return True
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
@@ -632,15 +671,46 @@ class SatSolver:
         offline lazy loop's iteration bound) or ``deadline`` (a
         ``time.monotonic`` instant, polled every few hundred search steps
         so the clock read stays off the propagation hot path) is hit.
+
+        The trail of the previous call is reused, not rebuilt: decision
+        level *i+1* is kept while it was opened for ``assumptions[i]``, and
+        when the whole assumption prefix matches, the search levels above
+        it are kept too.  Model enumeration therefore pays only for the
+        part of the trail a blocking clause actually invalidates.
         """
         if not self._ok:
             return SatResult.UNSAT
         self._conflict_limit = conflict_limit
-        self._backtrack(0)
-        if self._propagate() is not None:
+        assumed = self._assumed
+        keep = 0
+        while (
+            keep < len(assumed)
+            and keep < len(assumptions)
+            and assumed[keep] == assumptions[keep]
+        ):
+            keep += 1
+        if keep < len(assumptions):
+            self._backtrack(keep)
+        else:
+            del assumed[keep:]
+        if not self._trail_lim and self._propagate() is not None:
             self._ok = False
             return SatResult.UNSAT
+        try:
+            return self._search(assumptions, theory_conflict_limit, deadline)
+        except TheoryTimeout:
+            # A theory passed the deadline inside its own loop: unwind so
+            # the solver (and the theory with it) stays usable.
+            self._backtrack(0)
+            return SatResult.UNKNOWN
 
+    def _search(
+        self,
+        assumptions: Sequence[int],
+        theory_conflict_limit: Optional[int],
+        deadline: Optional[float],
+    ) -> SatResult:
+        """The CDCL loop of :meth:`solve`, from the kept trail onwards."""
         conflicts_total = 0
         theory_conflicts_base = self.stats.theory_conflicts
         restart_count = 0
@@ -666,15 +736,14 @@ class SatSolver:
                 if len(self._trail_lim) < len(assumptions):
                     lit = assumptions[len(self._trail_lim)]
                     val = self._lit_value(lit)
-                    if val is True:
-                        # Already satisfied: open an empty decision level so
-                        # the assumption indexing stays aligned.
-                        self._new_decision_level()
-                        continue
                     if val is False:
                         return SatResult.UNSAT
+                    # An already-true assumption opens an empty decision
+                    # level, so the assumption indexing stays aligned.
                     self._new_decision_level()
-                    self._enqueue(lit, 0)
+                    self._assumed.append(lit)
+                    if val is None:
+                        self._enqueue(lit, 0)
                     continue
 
                 lit = self._pick_branch_literal()
@@ -1224,10 +1293,49 @@ class SatSolver:
         self.stats.clauses_deleted += len(victims)
         return len(victims)
 
+    def remove_satisfied(self) -> int:
+        """Delete the problem and learned clauses satisfied at level 0.
+
+        A clause with a literal true at level 0 can never propagate or
+        conflict again, so it is pure weight — typically the clauses of a
+        retired scope, once the scope's selector is negated.  Victims are
+        dropped by the same arena compaction :meth:`reduce_db` uses.  A
+        victim can only be the reason of a level-0 literal, and conflict
+        analysis never reads those reasons, so they are cleared.  Returns
+        the number of clauses deleted.
+        """
+        arena = self._arena
+        assign = self._assign
+        level = self._level
+        victims = 0
+        for ref in self._clause_refs + self._learned_refs:
+            base = ref + 3
+            for k in range(base, base + (arena[ref] >> _SIZE_SHIFT)):
+                lit = arena[k]
+                val = assign[lit] if lit > 0 else -assign[-lit]
+                if val > 0 and level[abs(lit)] == 0:
+                    arena[ref] |= _FLAG_DELETED
+                    victims += 1
+                    break
+        if not victims:
+            return 0
+        reason = self._reason
+        locked = set()
+        for lit in self._trail:
+            var = lit if lit > 0 else -lit
+            r = reason[var]
+            if r > 0:
+                if level[var] == 0 and arena[r] & _FLAG_DELETED:
+                    reason[var] = 0
+                else:
+                    locked.add(r)
+        self._compact(locked)
+        return victims
+
     def _compact(self, locked: set) -> None:
         """Copy live records into a fresh arena; remap every cref in one sweep.
 
-        Live records are the problem clauses, learned clauses not flagged
+        Live records are the problem and learned clauses not flagged
         ``_FLAG_DELETED``, and materialised theory reasons that are still
         reason-locked.  Watch entries of flagged victims are dropped while
         the lists are rewritten, which is what unlinks a victim from the
@@ -1287,7 +1395,7 @@ class SatSolver:
         for var in range(1, self._num_vars + 1):
             if reason[var] > 0:
                 reason[var] = remap[reason[var]]
-        self._clause_refs = [remap[r] for r in self._clause_refs]
+        self._clause_refs = [remap[r] for r in self._clause_refs if r in remap]
         self._learned_refs = [
             remap[r] for r in self._learned_refs if r in remap
         ]
@@ -1313,6 +1421,7 @@ class SatSolver:
             heapq.heappush(heap, (-activity[var], var))
         del trail[limit:]
         del self._trail_lim[level:]
+        del self._assumed[level:]
         self._queue_head = len(trail)
         if self._theory is not None and self._theory_head > len(trail):
             self._theory_head = len(trail)

@@ -2,11 +2,12 @@
 
 This is the object-graph implementation the flat-memory core in
 :mod:`repro.smt.sat` replaced: clauses are Python :class:`_Clause` objects
-chased through dict-of-list watch tables.  It is retained verbatim (only
-renamed) so the differential harness can assert that the arena core is
-*search-order identical* — same verdicts, same models, same conflict /
-decision / propagation counts — on random CNFs, incremental assumption
-streams and the 300-formula mixed-theory corpus.
+chased through dict-of-list watch tables.  It is retained (renamed, and
+with the arena core's trail-keeping ``add_clause`` / ``solve`` contract
+ported line for line) so the differential harness can assert that the
+arena core is *search-order identical* — same verdicts, same models, same
+conflict / decision / propagation counts — on random CNFs, incremental
+assumption streams and the 300-formula mixed-theory corpus.
 
 Do not use this solver outside tests; it is the slow path by design.
 """
@@ -25,6 +26,7 @@ from repro.smt.sat import (
     SatResult,
     SatStats,
     TheoryListener,
+    TheoryTimeout,
     luby,
 )
 from repro.utils.errors import SolverError
@@ -131,6 +133,8 @@ class LegacySatSolver:
         self._reason: List[Optional[object]] = [None]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
+        # The assumption each bottom decision level was opened for.
+        self._assumed: List[int] = []
         self._queue_head = 0
         # Decision heuristic.
         self._activity: List[float] = [0.0]
@@ -206,12 +210,12 @@ class LegacySatSolver:
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns ``False`` if the formula became trivially unsat.
 
-        Clauses may be added at any time; clauses added between ``solve``
-        calls are handled incrementally (the solver backtracks to level 0).
+        Same contract as :meth:`repro.smt.sat.SatSolver.add_clause`: the
+        trail is kept, and only a clause that is falsified or unit under it
+        backjumps, to its assertion level.
         """
         if not self._ok:
             return False
-        self._backtrack(0)
         unique: List[int] = []
         seen = set()
         for lit in lits:
@@ -240,6 +244,7 @@ class LegacySatSolver:
             self._ok = False
             return False
         if len(filtered) == 1:
+            self._backtrack(0)
             if not self._enqueue(filtered[0], None):
                 self._ok = False
                 return False
@@ -249,9 +254,25 @@ class LegacySatSolver:
                 return False
             return True
 
+        if self._decision_level() > 0:
+            # Non-false literals first, then false ones by descending level.
+            filtered.sort(
+                key=lambda lit: -self._level[abs(lit)]
+                if self._lit_value(lit) is False
+                else -(1 << 30)
+            )
         clause = _Clause(filtered)
         self._attach(clause)
         self._clauses.append(clause)
+        if self._decision_level() > 0:
+            l0, l1 = filtered[0], filtered[1]
+            if self._lit_value(l1) is False:
+                v0 = self._lit_value(l0)
+                if v0 is False and self._level[abs(l0)] == self._level[abs(l1)]:
+                    self._backtrack(self._level[abs(l0)] - 1)
+                elif v0 is not True:
+                    self._backtrack(self._level[abs(l1)])
+                    self._enqueue(l0, clause)
         return True
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
@@ -297,16 +318,42 @@ class LegacySatSolver:
         offline lazy loop's iteration bound) or ``deadline`` (a
         ``time.monotonic`` instant, polled every few hundred search steps
         so the clock read stays off the propagation hot path) is hit.
+
+        The previous call's trail is reused exactly as in
+        :meth:`repro.smt.sat.SatSolver.solve`.
         """
         if not self._ok:
             return SatResult.UNSAT
         self._conflict_limit = conflict_limit
-        self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            self._ok = False
-            return SatResult.UNSAT
+        keep = 0
+        while (
+            keep < len(self._assumed)
+            and keep < len(assumptions)
+            and self._assumed[keep] == assumptions[keep]
+        ):
+            keep += 1
+        if keep < len(assumptions):
+            self._backtrack(keep)
+        else:
+            del self._assumed[keep:]
+        if self._decision_level() == 0:
+            conflict = self._propagate()
+            if conflict is not None:
+                self._ok = False
+                return SatResult.UNSAT
+        try:
+            return self._search(assumptions, theory_conflict_limit, deadline)
+        except TheoryTimeout:
+            self._backtrack(0)
+            return SatResult.UNKNOWN
 
+    def _search(
+        self,
+        assumptions: Sequence[int],
+        theory_conflict_limit: Optional[int],
+        deadline: Optional[float],
+    ) -> SatResult:
+        """The CDCL loop of :meth:`solve`, from the kept trail onwards."""
         conflicts_total = 0
         theory_conflicts_base = self.stats.theory_conflicts
         restart_count = 0
@@ -331,15 +378,14 @@ class LegacySatSolver:
                 if self._decision_level() < len(assumptions):
                     lit = assumptions[self._decision_level()]
                     val = self._lit_value(lit)
-                    if val is True:
-                        # Already satisfied: open an empty decision level so
-                        # the assumption indexing stays aligned.
-                        self._new_decision_level()
-                        continue
                     if val is False:
                         return SatResult.UNSAT
+                    # An already-true assumption opens an empty decision
+                    # level, so the assumption indexing stays aligned.
                     self._new_decision_level()
-                    self._enqueue(lit, None)
+                    self._assumed.append(lit)
+                    if val is None:
+                        self._enqueue(lit, None)
                     continue
 
                 lit = self._pick_branch_literal()
@@ -690,6 +736,29 @@ class LegacySatSolver:
         self.stats.clauses_deleted += len(victims)
         return len(victims)
 
+    def remove_satisfied(self) -> int:
+        """Delete the clauses satisfied at level 0 (see the arena core)."""
+        victims = 0
+        for clause in self._clauses + self._learned:
+            if any(
+                self._lit_value(lit) is True and self._level[abs(lit)] == 0
+                for lit in clause.lits
+            ):
+                clause.deleted = True
+                victims += 1
+        if not victims:
+            return 0
+        for lit in self._trail:
+            reason = self._reason[abs(lit)]
+            if type(reason) is _Clause and reason.deleted:
+                self._reason[abs(lit)] = None
+        for lit, watchers in self._watches.items():
+            if any(clause.deleted for clause in watchers):
+                self._watches[lit] = [c for c in watchers if not c.deleted]
+        self._clauses = [c for c in self._clauses if not c.deleted]
+        self._learned = [c for c in self._learned if not c.deleted]
+        return victims
+
     def _backtrack(self, level: int) -> None:
         if self._decision_level() <= level:
             return
@@ -701,6 +770,7 @@ class LegacySatSolver:
             heapq.heappush(self._heap, (-self._activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
+        del self._assumed[level:]
         self._queue_head = len(self._trail)
         if self._theory is not None and self._theory_head > len(self._trail):
             self._theory_head = len(self._trail)

@@ -31,11 +31,13 @@ e.g. user properties that sum message payloads.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.smt.linear import LinearLe
+from repro.smt.sat import TheoryTimeout
 from repro.smt.theory.idl import TheoryResult
 from repro.utils.errors import SolverError
 
@@ -100,8 +102,15 @@ def _find_conflict(rows: List[_Row]) -> Optional[FrozenSet[int]]:
     return None
 
 
-def _eliminate(rows: List[_Row], var: str) -> List[_Row]:
-    """One Fourier–Motzkin elimination step for ``var``."""
+def _eliminate(
+    rows: List[_Row], var: str, deadline: Optional[float] = None
+) -> List[_Row]:
+    """One Fourier–Motzkin elimination step for ``var``.
+
+    One step can square the row count, so a ``deadline`` (a
+    ``time.monotonic`` instant) is polled every 64 combined rows and
+    :class:`~repro.smt.sat.TheoryTimeout` raised once it has passed.
+    """
     uppers: List[_Row] = []   # coeff > 0  ->  var <= ...
     lowers: List[_Row] = []   # coeff < 0  ->  var >= ...
     others: List[_Row] = []
@@ -115,9 +124,16 @@ def _eliminate(rows: List[_Row], var: str) -> List[_Row]:
             others.append(row)
 
     new_rows = list(others)
+    poll = 0
     for up in uppers:
         cu = up.coeff_of(var)
         for lo in lowers:
+            if deadline is not None:
+                poll += 1
+                if poll >= 64:
+                    poll = 0
+                    if time.monotonic() >= deadline:
+                        raise TheoryTimeout("Fourier-Motzkin elimination")
             cl = -lo.coeff_of(var)
             # Combine: cl * up + cu * lo eliminates var.
             coeffs: Dict[str, Fraction] = {}
@@ -136,10 +152,11 @@ def _eliminate(rows: List[_Row], var: str) -> List[_Row]:
     return new_rows
 
 
-def _rational_check(rows: List[_Row]):
+def _rational_check(rows: List[_Row], deadline: Optional[float] = None):
     """Fourier–Motzkin feasibility over the rationals.
 
-    Returns ``(True, model)`` or ``(False, conflict_tags)``.
+    Returns ``(True, model)`` or ``(False, conflict_tags)``; ``deadline``
+    is passed on to :func:`_eliminate`.
     """
     variables = sorted({name for row in rows for name, _ in row.coeffs})
     # systems[k] is the constraint system *before* eliminating variables[k].
@@ -148,7 +165,7 @@ def _rational_check(rows: List[_Row]):
 
     for var in variables:
         systems.append(current)
-        current = _eliminate(current, var)
+        current = _eliminate(current, var, deadline)
         conflict = _find_conflict(current)
         if conflict is not None:
             return False, conflict
@@ -182,16 +199,19 @@ def _rational_check(rows: List[_Row]):
 class _RowChecker:
     """Branch-and-bound integer feasibility over tagged rows."""
 
-    def __init__(self, fallback_tags: Iterable[int]) -> None:
+    def __init__(
+        self, fallback_tags: Iterable[int], deadline: Optional[float] = None
+    ) -> None:
         self._fallback = sorted(set(fallback_tags))
         self._nodes = 0
+        self._deadline = deadline
 
     def check(self, rows: List[_Row]) -> TheoryResult:
         self._nodes += 1
         if self._nodes > _MAX_BB_NODES:
             raise SolverError("LIA branch-and-bound node limit exceeded")
 
-        feasible, model_or_conflict = _rational_check(rows)
+        feasible, model_or_conflict = _rational_check(rows, self._deadline)
         if not feasible:
             return TheoryResult(satisfiable=False, conflict=sorted(model_or_conflict))
 
@@ -269,9 +289,15 @@ class IncrementalLinearInt:
     on every assertion of a large trail.  Full integer feasibility
     (branch-and-bound) runs once per complete assignment via
     :meth:`final_check`, exactly like an SMT final-check hook.
+
+    Fourier–Motzkin can grow its rows without bound, so both the re-check
+    and the final check poll ``deadline`` (a ``time.monotonic`` instant,
+    ``None`` for no bound) and raise :class:`~repro.smt.sat.TheoryTimeout`
+    past it; the SAT core then unwinds the trail and answers UNKNOWN.
     """
 
     def __init__(self, recheck_rows_limit: int = 64) -> None:
+        self.deadline: Optional[float] = None
         self._recheck_rows_limit = recheck_rows_limit
         self._rows: List[_Row] = []
         # (lit, constraints, rows_before) per assert_lit call.
@@ -298,7 +324,7 @@ class IncrementalLinearInt:
                 return [lit]
             self._rows.append(_make_row(constraint, lit))
         if rows_before < len(self._rows) and len(self._rows) <= self._recheck_rows_limit:
-            feasible, conflict = _rational_check(self._rows)
+            feasible, conflict = _rational_check(self._rows, self.deadline)
             if not feasible:
                 return sorted(set(conflict) | {lit})
         return None
@@ -312,7 +338,7 @@ class IncrementalLinearInt:
 
     def final_check(self) -> TheoryResult:
         """Full integer feasibility of the current trail (model on success)."""
-        checker = _RowChecker(lit for lit, _, _ in self._frames)
+        checker = _RowChecker((lit for lit, _, _ in self._frames), self.deadline)
         return checker.check(list(self._rows))
 
     def model(self) -> Dict[str, int]:

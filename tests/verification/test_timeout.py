@@ -1,10 +1,17 @@
 """Tests for per-query solver deadlines: ``timeout_s`` on sessions and
 batches, the UNKNOWN(timeout) verdict, and its non-caching semantics."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.smt import CheckResult, DpllTBackend, Ge, IntVal, IntVar
 from repro.verification.cache import ResultCache, make_cache_key
 from repro.verification.result import Verdict
@@ -145,3 +152,56 @@ class TestCliTimeout:
         out = capsys.readouterr().out
         assert rc == 0
         assert "reason=timeout" in out
+
+
+class TestFourierMotzkinDeadline:
+    """scatter_gather(4, assert_order=True) moves the arithmetic lane to
+    Fourier–Motzkin, whose row count explodes.  The LIA lane must poll the
+    deadline inside the elimination itself, unwind and answer
+    UNKNOWN(timeout), leaving the session usable.  It runs in a child
+    process under an address-space cap, so a regression fails on time or
+    MemoryError instead of exhausting the machine."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json, resource, sys, time
+        cap = 1 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from repro.smt import And, BoolVar, Not
+        from repro.verification.session import VerificationSession
+        from repro.workloads import scatter_gather
+        session = VerificationSession.from_program(
+            scatter_gather(4, assert_order=True), seed=0
+        )
+        session.backend
+        answers = []
+        for _ in range(2):
+            start = time.monotonic()
+            result = session.verdict(timeout_s=2)
+            answers.append(
+                [result.verdict.name, result.unknown_reason,
+                 time.monotonic() - start]
+            )
+        flag = BoolVar("fm_probe")
+        after = session.backend.check(And(flag, Not(flag))).name
+        print(json.dumps({"answers": answers, "after": after}))
+        """
+    )
+
+    def test_unknown_timeout_within_budget_and_session_survives(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        report = json.loads(child.stdout.strip().splitlines()[-1])
+        for verdict, reason, seconds in report["answers"]:
+            assert (verdict, reason) == ("UNKNOWN", "timeout")
+            assert seconds < 4.0
+        assert report["after"] == "UNSAT"
